@@ -43,8 +43,8 @@ var (
 	mPruned  = obs.NewCounter("engine_infeasible_pruned_total", "configurations dropped by the correlated-branch pruner")
 	mReports = obs.NewCounter("engine_reports_total", "diagnostics emitted by runs")
 	mPaths   = obs.NewCounter("engine_paths_walked_total", "paths enumerated by the every-path executor")
-	mVisits  = obs.NewCounter("engine_node_visits_total", "node events swept against a rule vocabulary (a fused run sweeps each node once per distinct binding environment; a sequential run sweeps once per configuration per worklist visit)")
-	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern alternatives evaluated against node events (fused runs serve repeated evaluations from the shared match index)")
+	mVisits  = obs.NewCounter("engine_node_visits_total", "node events swept against an SM's rules (one per configuration per worklist visit)")
+	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern alternatives evaluated against node events and branch conditions")
 )
 
 // Stop is the reserved target state that kills a configuration (stops
@@ -434,12 +434,8 @@ type runner struct {
 	ruleKeys map[*Rule]string
 	condKeys []string
 
-	// plan is the compile-time rules-by-state partition; mi, when
-	// non-nil, is the shared match index of a fused run (the runner then
-	// matches through interned vocabulary alternatives and leaves visit
-	// accounting to the index).
+	// plan is the SM's rules partitioned by owning state.
 	plan *smPlan
-	mi   *matchIndex
 
 	// local metric shadows, flushed once by flushMetrics.
 	nConfigs int
@@ -484,6 +480,29 @@ func Run(g *cfg.Graph, sm *SM) []Report {
 	return reports
 }
 
+// smPlan is the compile-time shape of one SM: its rules partitioned by
+// owning state, so transfer does not rebuild the partition per call.
+type smPlan struct {
+	byState  map[string][]*Rule
+	allRules []*Rule
+}
+
+// buildPlan partitions an SM's rules by owning state. All-state rules
+// go to allRules; transfer fires byState first, then allRules, which
+// keeps the rules' firing order (including the degenerate case of a
+// rule literally owned by state "all").
+func buildPlan(sm *SM) *smPlan {
+	p := &smPlan{byState: map[string][]*Rule{}}
+	for _, rule := range sm.Rules {
+		if rule.State == All {
+			p.allRules = append(p.allRules, rule)
+		} else {
+			p.byState[rule.State] = append(p.byState[rule.State], rule)
+		}
+	}
+	return p
+}
+
 // newRunner builds a runner with its coverage bookkeeping in place:
 // every runner carries a Coverage (pathmode and Sim discard theirs)
 // and the precomputed rule/cond keys it is tallied under.
@@ -502,37 +521,22 @@ func newRunner(sm *SM, g *cfg.Graph) *runner {
 	return r
 }
 
-// startState resolves the SM's start state for a function ("" skips).
-func startState(sm *SM, fn *ast.FuncDecl) string {
-	if sm.StartFor != nil {
-		return sm.StartFor(fn)
-	}
-	return sm.Start
-}
-
 // RunCov is Run plus the run's dynamic coverage: which rules, states,
 // pattern alternatives and branch refinements fired, and where the
 // wall time went. The coverage is never nil (it is Empty when the SM
 // skipped the function).
 func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
+	t0 := time.Now()
 	cov := &Coverage{SM: sm.Name, Fn: g.Fn.Name}
-	if startState(sm, g.Fn) == "" {
+	start := sm.Start
+	if sm.StartFor != nil {
+		start = sm.StartFor(g.Fn)
+	}
+	if start == "" {
 		return nil, cov
 	}
 	r := newRunner(sm, g)
 	r.cov = cov
-	r.runToFixpoint()
-	return r.reports, cov
-}
-
-// runToFixpoint drives the worklist to a fixed point, runs the at-exit
-// hooks, and flushes metrics. It is the shared body of RunCov and the
-// per-member phase of Fused.RunCov; callers have already resolved a
-// non-empty start state.
-func (r *runner) runToFixpoint() {
-	t0 := time.Now()
-	g, sm, cov := r.g, r.sm, r.cov
-	start := startState(sm, g.Fn)
 
 	// out[n] = configurations holding immediately after n's event.
 	out := make([]configSet, len(g.Nodes))
@@ -607,6 +611,7 @@ func (r *runner) runToFixpoint() {
 	}
 	r.flushMetrics()
 	cov.Elapsed = time.Since(t0)
+	return r.reports, cov
 }
 
 // refine applies branch-correlation pruning and CondRules to a
@@ -629,29 +634,16 @@ func (r *runner) refine(c config, e *cfg.Edge) (config, bool) {
 			}
 		}
 	}
-	ek := ""
-	if r.mi != nil && len(r.sm.Cond) > 0 {
-		ek = envKeyOf(c.env)
-	}
 	for ci, cr := range r.sm.Cond {
 		if cr.State != c.state && cr.State != All {
 			continue
 		}
-		var matched match.Env
-		if r.mi != nil {
-			env, _, ok := r.mi.eval(r.plan.condAlts[ci], e.From.ID, cond, c.env, ek)
-			if !ok {
-				continue
-			}
-			matched = env
-		} else {
-			r.nEvals++
-			results := match.Find(cr.Pattern, cond, c.env)
-			if len(results) == 0 {
-				continue
-			}
-			matched = results[0].Env
+		r.nEvals++
+		results := match.Find(cr.Pattern, cond, c.env)
+		if len(results) == 0 {
+			continue
 		}
+		matched := results[0].Env
 		r.cov.hitCond(r.condKeys[ci])
 		isTrue := e.Label == cfg.True
 		if negated {
@@ -739,17 +731,11 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 	}
 
 	// State-specific rules first, then all-state rules (paper §5).
-	ek := ""
-	if r.mi == nil {
-		r.nVisits++
-	} else {
-		ek = envKeyOf(c.env)
-		r.mi.visit(n.ID, ek)
-	}
+	r.nVisits++
 	t0 := time.Now()
 	fire := func(rules []*Rule) ([]config, bool) {
 		for _, rule := range rules {
-			env, pos, alt, ok := r.matchRule(rule, n.ID, event, c.env, ek)
+			env, pos, alt, ok := r.matchRule(rule, event, c.env)
 			if !ok {
 				continue
 			}
@@ -794,52 +780,32 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 
 // matchRule tries each alternative of a rule against the event. The
 // int result is the index of the alternative that matched, for
-// per-alternative coverage. In a fused run the evaluation is memoized
-// in the shared match index, keyed by (node, interned alternative,
-// environment render), so other members asking the same question get
-// the cached answer.
-func (r *runner) matchRule(rule *Rule, nodeID int, event ast.Node, env match.Env, ek string) (match.Env, token.Pos, int, bool) {
-	if r.mi != nil {
-		alts := r.plan.ruleAlts[rule]
-		for i := range rule.Patterns {
-			if env2, pos, ok := r.mi.eval(alts[i], nodeID, event, env, ek); ok {
-				return env2, pos, i, true
-			}
-		}
-		return nil, token.Pos{}, 0, false
-	}
+// per-alternative coverage.
+func (r *runner) matchRule(rule *Rule, event ast.Node, env match.Env) (match.Env, token.Pos, int, bool) {
 	for i, p := range rule.Patterns {
 		r.nEvals++
-		if env2, pos, ok := evalPattern(p, event, env); ok {
-			return env2, pos, i, true
+		if p.Stmt != nil {
+			if s, ok := event.(ast.Stmt); ok {
+				if got, ok2 := match.Stmt(p.Stmt, s, env); ok2 {
+					return got, s.Pos(), i, true
+				}
+			}
+			// Expression-statement patterns also match as
+			// sub-expressions of any event.
+			if es, ok := p.Stmt.(*ast.ExprStmt); ok {
+				if results := match.Find(es.X, event, env); len(results) > 0 {
+					return results[0].Env, results[0].Expr.Pos(), i, true
+				}
+			}
+			continue
+		}
+		if p.Expr != nil {
+			if results := match.Find(p.Expr, event, env); len(results) > 0 {
+				return results[0].Env, results[0].Expr.Pos(), i, true
+			}
 		}
 	}
 	return nil, token.Pos{}, 0, false
-}
-
-// evalPattern evaluates one rule-pattern alternative against an event.
-func evalPattern(p Pattern, event ast.Node, env match.Env) (match.Env, token.Pos, bool) {
-	if p.Stmt != nil {
-		if s, ok := event.(ast.Stmt); ok {
-			if got, ok2 := match.Stmt(p.Stmt, s, env); ok2 {
-				return got, s.Pos(), true
-			}
-		}
-		// Expression-statement patterns also match as
-		// sub-expressions of any event.
-		if es, ok := p.Stmt.(*ast.ExprStmt); ok {
-			if results := match.Find(es.X, event, env); len(results) > 0 {
-				return results[0].Env, results[0].Expr.Pos(), true
-			}
-		}
-		return nil, token.Pos{}, false
-	}
-	if p.Expr != nil {
-		if results := match.Find(p.Expr, event, env); len(results) > 0 {
-			return results[0].Env, results[0].Expr.Pos(), true
-		}
-	}
-	return nil, token.Pos{}, false
 }
 
 // Count returns how many sub-expressions across fn bodies match pat —

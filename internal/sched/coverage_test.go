@@ -22,23 +22,33 @@ func renderCoverage(t *testing.T, s *cover.Set) []byte {
 }
 
 // checkWithCoverage runs the full FLASH suite over the test protocol
-// with the given worker count and depot, returning the coverage bytes.
-func checkWithCoverage(t *testing.T, d *depot.Depot, workers int) []byte {
+// with the given worker count and depot, returning the result and the
+// coverage bytes.
+func checkWithCoverage(t *testing.T, d *depot.Depot, workers int) (*Result, []byte) {
 	t.Helper()
 	p, prog := loadProto(t, nil)
 	set := cover.NewSet()
 	a := &Analyzer{Depot: d, Workers: workers, Coverage: set}
-	if _, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: FlashJobs(p.Spec)}); err != nil {
+	res, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: FlashJobs(p.Spec)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return renderCoverage(t, set)
+	return res, renderCoverage(t, set)
 }
 
-// Acceptance: the coverage matrix is identical at -j 1 and
-// -j GOMAXPROCS, counts included.
+// Acceptance: the report stream and the coverage matrix are identical
+// at -j 1 and -j GOMAXPROCS, counts included.
 func TestCoverageIdenticalAcrossWorkerCounts(t *testing.T) {
-	serial := checkWithCoverage(t, nil, 1)
-	parallel := checkWithCoverage(t, nil, runtime.GOMAXPROCS(0))
+	serialRes, serial := checkWithCoverage(t, nil, 1)
+	parallelRes, parallel := checkWithCoverage(t, nil, runtime.GOMAXPROCS(0))
+	serialOut, parallelOut := render(serialRes.Reports), render(parallelRes.Reports)
+	if len(serialOut) == 0 {
+		t.Fatal("no reports")
+	}
+	if !bytes.Equal(serialOut, parallelOut) {
+		t.Fatalf("reports differ between -j 1 and -j %d:\n%s\nvs\n%s",
+			runtime.GOMAXPROCS(0), serialOut, parallelOut)
+	}
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("coverage differs between -j 1 and -j %d:\n%s\nvs\n%s",
 			runtime.GOMAXPROCS(0), serial, parallel)
@@ -55,7 +65,7 @@ func TestCoverageIdenticalWarmCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := checkWithCoverage(t, d, 0)
+	_, cold := checkWithCoverage(t, d, 0)
 
 	// Second run over a fresh parse of the same sources: pure hits.
 	p, prog := loadProto(t, nil)
