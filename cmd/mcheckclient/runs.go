@@ -36,9 +36,9 @@ func getLedgerJSON(base, path string, v any) error {
 // ledgerReport mirrors engine.Report's wire shape, decoupled from the
 // internal package — this client speaks only JSON.
 type ledgerReport struct {
-	SM    string `json:"SM"`
-	Msg   string `json:"Msg"`
-	Pos   struct {
+	SM  string `json:"SM"`
+	Msg string `json:"Msg"`
+	Pos struct {
 		File string `json:"File"`
 		Line int    `json:"Line"`
 		Col  int    `json:"Col"`

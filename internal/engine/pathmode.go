@@ -3,7 +3,6 @@ package engine
 import (
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cfg"
-	"flashmc/internal/match"
 	"flashmc/internal/paths"
 )
 
@@ -24,12 +23,9 @@ func RunPaths(g *cfg.Graph, sm *SM, limit int) []Report {
 	r := newRunner(sm, g)
 	for _, path := range paths.Enumerate(g, limit) {
 		r.nPaths++
-		c := config{state: start, env: match.Env{}}
+		c := config{state: start}
 		alive := true
 		for i, n := range path {
-			if !alive {
-				break
-			}
 			// Branch refinement applies on the edge taken from the
 			// previous node when it was a branch.
 			if i > 0 && path[i-1].Kind == cfg.KindBranch {
@@ -49,12 +45,9 @@ func RunPaths(g *cfg.Graph, sm *SM, limit int) []Report {
 					}
 				}
 			}
-			next := r.transfer(n, c)
-			if len(next) == 0 {
-				alive = false
+			if c, alive = r.transfer(n, c); !alive {
 				break
 			}
-			c = next[0]
 		}
 		if alive && sm.AtExit != nil {
 			ctx := &Ctx{Env: c.env, Node: g.Exit, MatchPos: g.Exit.Pos(),

@@ -48,17 +48,17 @@ func (s *Sim) Start() (Config, bool) {
 	if s.start == "" {
 		return Config{}, false
 	}
-	return Config{config{state: s.start, env: match.Env{}}}, true
+	return Config{config{state: s.start}}, true
 }
 
 // Transfer processes node n's event for c, firing rule actions. ok is
 // false when the configuration was killed (a rule moved it to Stop).
 func (s *Sim) Transfer(n *cfg.Node, c Config) (Config, bool) {
-	out := s.r.transfer(n, c.c)
-	if len(out) == 0 {
+	out, alive := s.r.transfer(n, c.c)
+	if !alive {
 		return Config{}, false
 	}
-	return Config{out[0]}, true
+	return Config{out}, true
 }
 
 // Refine applies branch-condition rules (and the SM's own

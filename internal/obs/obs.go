@@ -284,9 +284,9 @@ func (v *CounterVec) snapshot() ([]string, map[string]*Counter) {
 // fleet's per-worker task latencies, for example. Children render as
 // name_bucket{label="value",le="bound"} series, sorted by label value.
 type HistogramVec struct {
-	label   string
-	buckets []float64
-	mu      sync.Mutex
+	label    string
+	buckets  []float64
+	mu       sync.Mutex
 	children map[string]*Histogram
 }
 

@@ -68,7 +68,10 @@ func TestMergeRemoteRewritesAndShifts(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("merged %d events, want 2 (metadata dropped): %+v", len(events), events)
 	}
-	for i, want := range []struct{ name string; ts float64 }{{"frontend", 1010}, {"run", 1020}} {
+	for i, want := range []struct {
+		name string
+		ts   float64
+	}{{"frontend", 1010}, {"run", 1020}} {
 		e := events[i]
 		if e.Name != want.name || e.TS != want.ts || e.PID != 3 || e.TID != 42 {
 			t.Fatalf("event %d = %+v, want name=%s ts=%v pid=3 tid=42", i, e, want.name, want.ts)
