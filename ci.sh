@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI entry point. Tier-1 (build + tests) first, then the stricter
-# gates: go vet across every package, gofmt (no file may need
-# reformatting) and the test suite again under the race detector (the
-# engine and checkers are exercised in parallel by the paper-table
-# tests, so data races would hide there).
+# gates: go vet across every package and the perfbench module, gofmt
+# (no file may need reformatting) and the test suite again under the
+# race detector (the engine and checkers are exercised in parallel by
+# the paper-table tests, so data races would hide there).
 set -eux
 
 cd "$(dirname "$0")"
@@ -12,6 +12,10 @@ go build ./...
 go test ./...
 
 go vet ./...
+# perfbench is its own module (replace flashmc => ../), so the root
+# build never compiles it; vet it so an internal API change cannot
+# break the benchmark silently.
+(cd perfbench && go vet ./...)
 test -z "$(gofmt -l .)"
 go test -race ./...
 

@@ -64,8 +64,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -227,16 +225,11 @@ func main() {
 		if err != nil {
 			fail("%s: %v", cf, err)
 		}
-		// An ad-hoc checker has no declared version; its source hash
-		// takes that role in the depot key, so editing the .metal
-		// file invalidates its cached results.
-		srcHash := sha256.Sum256([]byte(src))
-		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
-		jobs = append(jobs, sched.Job{Name: mp.Name, Version: version,
-			Options: specOpt, SM: mp.SM})
+		job := sched.AdhocJob(mp, string(src), specOpt)
+		jobs = append(jobs, job)
 		lintTargets = append(lintTargets, lintTarget{sm: mp.SM, decls: mp.Decls})
 		triageSMs[mp.SM.Name] = mp.SM
-		triageVersions[mp.SM.Name] = version
+		triageVersions[mp.SM.Name] = job.Version
 	}
 	if *flashSuite {
 		jobs = append(jobs, sched.FlashJobs(spec)...)

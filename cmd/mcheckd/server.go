@@ -348,12 +348,10 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, status, "checker %s: %v", name, err)
 			return
 		}
-		srcHash := sha256.Sum256([]byte(src))
-		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
-		jobs = append(jobs, sched.Job{Name: mp.Name, Version: version,
-			Options: specOpt, SM: mp.SM, AdhocSrc: src})
+		job := sched.AdhocJob(mp, src, specOpt)
+		jobs = append(jobs, job)
 		smByName[mp.SM.Name] = mp.SM
-		smVersions[mp.SM.Name] = version
+		smVersions[mp.SM.Name] = job.Version
 	}
 	if req.Flash == nil || *req.Flash {
 		jobs = append(jobs, sched.FlashJobs(spec)...)

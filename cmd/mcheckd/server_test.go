@@ -175,6 +175,42 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesDeepNesting: a body nested far past the parser's
+// bound is refused as a parse error instead of overflowing the stack
+// and killing the daemon, and the same server goes on answering
+// ordinary requests.
+func TestServerSurvivesDeepNesting(t *testing.T) {
+	store, _ := depot.Open("")
+	ts := httptest.NewServer(newServer(store, 1))
+	defer ts.Close()
+
+	const depth = 100000
+	deep := "void h_deep(void) { int x; x = " + strings.Repeat("(", depth) + "1" +
+		strings.Repeat(")", depth) + "; }\n"
+	resp, err := http.Post(ts.URL+"/check", "application/json",
+		strings.NewReader(`{"files": {"deep.c": `+mustQuote(deep)+`}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("deep nesting: got %s, want 422\n%.500s", resp.Status, raw)
+	}
+	var cr checkResponse
+	if err := json.Unmarshal(raw, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.ParseErrors) == 0 || !strings.Contains(cr.ParseErrors[0], "nested deeper than") {
+		t.Fatalf("parse_errors %q, want a nesting error first", cr.ParseErrors)
+	}
+
+	ok, raw := postCheck(t, ts, `{"files": {"proto.c": `+mustQuote(fixture)+`}}`)
+	if len(ok.Reports) == 0 {
+		t.Fatalf("ordinary check after the deep one found nothing:\n%s", raw)
+	}
+}
+
 func mustQuote(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)

@@ -61,17 +61,17 @@ func TestWorkerMux(t *testing.T) {
 		t.Fatalf("wrong descriptor format: %d, want 400", code)
 	}
 	// Well-formed descriptor whose bundle is nowhere: transient 500,
-	// so the dispatcher retries elsewhere instead of giving up. The v1
-	// wire format (pre trace fields) stays accepted.
-	valid := `{"format":"task/v1","kind":"glob","src_hash":"0000","spec_opt":"o",
+	// so the dispatcher retries elsewhere instead of giving up.
+	valid := `{"format":"task/v2","kind":"glob","src_hash":"0000","spec_opt":"o",
 		"output":{"kind":"reports/v3","source":"s","checker":"c","version":"v","options":"o"},
 		"checker":"c","checker_version":"v"}`
 	if code := post(valid); code != http.StatusInternalServerError {
 		t.Fatalf("missing bundle: %d, want 500", code)
 	}
-	validV2 := strings.Replace(valid, "task/v1", "task/v2", 1)
-	if code := post(validV2); code != http.StatusInternalServerError {
-		t.Fatalf("missing bundle (v2): %d, want 500", code)
+	// The same descriptor in the pre-trace-fields task/v1 format is
+	// refused: only the current format is accepted.
+	if code := post(strings.Replace(valid, "task/v2", "task/v1", 1)); code != http.StatusBadRequest {
+		t.Fatalf("well-formed task/v1 descriptor: %d, want 400", code)
 	}
 }
 

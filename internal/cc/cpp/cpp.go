@@ -104,6 +104,9 @@ type Preprocessor struct {
 	out         strings.Builder
 	errs        []error
 	depth       int
+	// expanded counts the tokens macro substitution has produced for
+	// the current logical line, against maxExpansion.
+	expanded int
 
 	// KeepMacros lists function-like macro names that must NOT be
 	// expanded even if defined; the FLASH checkers pattern-match their

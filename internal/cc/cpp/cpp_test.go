@@ -1,9 +1,11 @@
 package cpp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // pp preprocesses the files map starting at "main.c" and returns output
@@ -380,5 +382,31 @@ func TestLayeredSource(t *testing.T) {
 	}
 	if _, err := src.ReadFile("missing.h"); err == nil {
 		t.Error("missing file found")
+	}
+}
+
+// TestExpansionBomb: forty self-doubling definitions would expand one
+// use into 2^40 tokens. Expansion stops at the bound with one error at
+// the offending line, promptly, and later lines still expand.
+func TestExpansionBomb(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "#define M%d M%d M%d\n", i, i+1, i+1)
+	}
+	src.WriteString("int x = M0;\n#define N 4\nint a[N];\n")
+	start := time.Now()
+	out, errs := pp(t, map[string]string{"main.c": src.String()})
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("bomb took %v", d)
+	}
+	if len(errs) != 1 {
+		t.Fatalf("errors %v, want one", errs)
+	}
+	e, ok := errs[0].(*Error)
+	if !ok || e.File != "main.c" || e.Line != 41 || !strings.Contains(e.Msg, "exceeds") {
+		t.Fatalf("error %v, want the expansion bound at main.c:41", errs[0])
+	}
+	if !strings.HasSuffix(out, "int a[4];") {
+		t.Fatalf("the line after the bomb did not expand: ...%q", out[len(out)-40:])
 	}
 }

@@ -141,8 +141,16 @@ var glueHazard = map[string]bool{
 	"/*": true, "*/": true, "##": true, "..": true,
 }
 
+// maxExpansion bounds the tokens macro substitution may produce while
+// expanding one logical line; every substitution's output counts, at
+// each level of nested expansion. Ordinary macro use stays far below
+// it, while a few self-doubling definitions would otherwise expand
+// exponentially and never finish.
+const maxExpansion = 1 << 16
+
 // expandLine macro-expands one logical source line.
 func (p *Preprocessor) expandLine(file string, line int, text string) string {
+	p.expanded = 0
 	toks := scanAll(text)
 	out := p.expand(file, line, toks)
 	return render(out)
@@ -169,6 +177,9 @@ func (p *Preprocessor) expand(file string, line int, toks []ppTok) []ppTok {
 		}
 		if !m.FuncLike {
 			rep := p.substitute(file, line, m, nil)
+			if p.expanded > maxExpansion {
+				return out
+			}
 			rep = hide(rep, m.Name, t.noExpand)
 			rep = p.expand(file, line, rep)
 			if len(rep) > 0 {
@@ -198,6 +209,9 @@ func (p *Preprocessor) expand(file string, line int, toks []ppTok) []ppTok {
 			p.errorf(file, line, "macro %s expects %d arguments, got %d", m.Name, len(m.Params), len(args))
 		}
 		rep := p.substitute(file, line, m, args)
+		if p.expanded > maxExpansion {
+			return out
+		}
 		rep = hide(rep, m.Name, t.noExpand)
 		rep = p.expand(file, line, rep)
 		if len(rep) > 0 {
@@ -326,6 +340,10 @@ func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTo
 		}
 		out = append(out, t)
 	}
+	if p.expanded <= maxExpansion && p.expanded+len(out) > maxExpansion {
+		p.errorf(file, line, "macro expansion exceeds %d tokens", maxExpansion)
+	}
+	p.expanded += len(out)
 	return out
 }
 
@@ -362,6 +380,7 @@ func paste(left, right []ppTok) []ppTok {
 // evalCond evaluates a #if/#elif expression after macro expansion and
 // defined() substitution. Undefined identifiers evaluate to 0, per C.
 func (p *Preprocessor) evalCond(file string, line int, expr string) bool {
+	p.expanded = 0
 	toks := scanAll(expr)
 	// Replace defined X / defined(X) before macro expansion.
 	var pre []ppTok

@@ -26,6 +26,10 @@ func (p *Parser) assignExpr() ast.Expr {
 	lhs := p.condExpr()
 	if p.kind().IsAssign() {
 		op := p.next()
+		if !p.enter() {
+			return badExpr(op.Pos)
+		}
+		defer p.leave()
 		rhs := p.assignExpr()
 		a := &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs}
 		a.P = op.Pos
@@ -39,6 +43,10 @@ func (p *Parser) condExpr() ast.Expr {
 	c := p.binaryExpr(1)
 	if p.at(token.Question) {
 		pos := p.next().Pos
+		if !p.enter() {
+			return badExpr(pos)
+		}
+		defer p.leave()
 		then := p.expr()
 		p.expect(token.Colon)
 		els := p.condExpr()
@@ -95,6 +103,10 @@ func (p *Parser) binaryExpr(minPrec int) ast.Expr {
 // unaryExpr parses prefix operators, casts and sizeof.
 func (p *Parser) unaryExpr() ast.Expr {
 	pos := p.cur().Pos
+	if !p.enter() {
+		return badExpr(pos)
+	}
+	defer p.leave()
 	switch p.kind() {
 	case token.Not, token.Tilde, token.Sub, token.Add, token.Star, token.BitAnd:
 		op := p.next()
@@ -265,10 +277,15 @@ func (p *Parser) primaryExpr() ast.Expr {
 	default:
 		p.errorf(tk.Pos, "expected expression, found %s", tk)
 		p.next()
-		id := &ast.Ident{Name: "<error>"}
-		id.P = tk.Pos
-		return id
+		return badExpr(tk.Pos)
 	}
+}
+
+// badExpr is the placeholder for an expression that failed to parse.
+func badExpr(pos token.Pos) ast.Expr {
+	id := &ast.Ident{Name: "<error>"}
+	id.P = pos
+	return id
 }
 
 func trimFloatSuffix(s string) string {

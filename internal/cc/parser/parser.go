@@ -58,7 +58,20 @@ type Parser struct {
 	// enumConsts records enumerator names and values discovered while
 	// parsing; the checker uses them for constant evaluation.
 	enumConsts map[string]int64
+
+	// depth is the current nesting of recursive productions (see
+	// enter); abandoned is set once it exceeded maxNesting.
+	depth     int
+	abandoned bool
 }
+
+// maxNesting bounds how deeply constructs may nest: parenthesized,
+// unary, cast, call and index operands, assignment and conditional
+// chains, statements, brace initializers, declarators and struct
+// bodies each take one level. The flashgen protocols nest at most 7
+// levels; hostile input nested millions deep would otherwise overflow
+// the goroutine stack, which a Go program cannot recover from.
+const maxNesting = 1000
 
 // New returns a parser over toks.
 func New(toks []token.Token, cfg Config) *Parser {
@@ -98,11 +111,29 @@ func (p *Parser) EnumConsts() map[string]int64 { return p.enumConsts }
 func (p *Parser) Typedefs() map[string]types.Type { return p.typedefs }
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
-	if len(p.errs) > 200 {
+	if len(p.errs) > 200 || p.abandoned {
 		return // avoid error floods on badly broken input
 	}
 	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
+
+// enter descends one nesting level; the caller calls leave when the
+// construct is done. Past maxNesting it records an error at the
+// current token, abandons the rest of the token stream and returns
+// false: the caller must not descend, and every production unwinds
+// at EOF without further errors.
+func (p *Parser) enter() bool {
+	if p.depth >= maxNesting {
+		p.errorf(p.cur().Pos, "constructs nested deeper than %d levels", maxNesting)
+		p.abandoned = true
+		p.pos = len(p.toks) - 1
+		return false
+	}
+	p.depth++
+	return true
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) cur() token.Token     { return p.toks[p.pos] }
 func (p *Parser) kind() token.Kind     { return p.toks[p.pos].Kind }
@@ -439,6 +470,10 @@ func basicFor(k types.BasicKind) *types.Basic {
 
 // structOrUnion parses struct/union specifiers, registering tags.
 func (p *Parser) structOrUnion() types.Type {
+	if !p.enter() {
+		return types.IntType
+	}
+	defer p.leave()
 	isUnion := p.kind() == token.KwUnion
 	p.next()
 	tag := ""
@@ -553,6 +588,10 @@ func (p *Parser) enum() types.Type {
 // returns the parameter list.
 func (p *Parser) declarator(base types.Type) (name string, t types.Type, params []ast.Param, variadic bool, isFunc bool) {
 	t = base
+	if !p.enter() {
+		return "", t, nil, false, false
+	}
+	defer p.leave()
 	for p.accept(token.Star) {
 		// const/volatile after * bind to the pointer; skip.
 		for p.accept(token.KwConst) || p.accept(token.KwVolatile) {
@@ -639,8 +678,13 @@ func (p *Parser) paramList() (params []ast.Param, variadic bool) {
 // initializer parses an initializer: assignment expression or brace
 // list (possibly nested).
 func (p *Parser) initializer() ast.Expr {
+	pos := p.cur().Pos
+	if !p.enter() {
+		return badExpr(pos)
+	}
+	defer p.leave()
 	if p.at(token.LBrace) {
-		pos := p.next().Pos
+		p.next()
 		il := &ast.InitList{}
 		il.P = pos
 		for !p.at(token.RBrace) && !p.at(token.EOF) {

@@ -28,6 +28,12 @@ func (p *Parser) block() *ast.Block {
 // several names (keeps Stmt cardinality simple for the CFG).
 func (p *Parser) stmt() ast.Stmt {
 	pos := p.cur().Pos
+	if !p.enter() {
+		e := &ast.Empty{}
+		e.P = pos
+		return e
+	}
+	defer p.leave()
 	switch p.kind() {
 	case token.LBrace:
 		return p.block()

@@ -42,18 +42,11 @@ import (
 
 const (
 	// DescFormat versions the descriptor wire format. A worker that
-	// receives a descriptor in an unknown format must refuse it:
-	// fields it does not understand could silently change what the
-	// output key is supposed to contain. v2 added the optional
-	// trace_id/parent_span correlation fields; they change nothing
-	// about what is computed, so v1 descriptors stay accepted (see
-	// descFormatV1 in Validate) and a v1-era worker asked to run a v2
-	// descriptor refuses it — exactly the mixed-fleet behavior the
-	// version field exists for.
+	// receives a descriptor in any other format must refuse it: fields
+	// it does not understand could silently change what the output key
+	// is supposed to contain. v2 added the trace_id/parent_span
+	// correlation fields.
 	DescFormat = "task/v2"
-	// descFormatV1 is the previous wire format, still accepted: v2 is
-	// a compatible extension.
-	descFormatV1 = "task/v1"
 	// BundleKind is the depot artifact kind of request source bundles.
 	BundleKind = "bundle/v1"
 )
@@ -124,7 +117,7 @@ type Descriptor struct {
 // Validate checks the fields every descriptor needs before it can be
 // dispatched or executed.
 func (d *Descriptor) Validate() error {
-	if d.Format != DescFormat && d.Format != descFormatV1 {
+	if d.Format != DescFormat {
 		return fmt.Errorf("fleet: descriptor format %q, want %q", d.Format, DescFormat)
 	}
 	switch d.Kind {

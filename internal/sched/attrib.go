@@ -27,7 +27,7 @@ package sched
 // so attribution is best-effort there — counts, not invariants.
 //
 // The decision is counted only once a task's resolution is known
-// (runState.countDecision): a hit counts as "hit", a local recompute
+// (runState.record): a hit counts as "hit", a local recompute
 // counts under its classified miss reason, and a miss whose artifact a
 // fleet worker computed counts under the explicit "remote" reason —
 // the leader never guesses which local reason a worker's recompute

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"flashmc/internal/flash"
 	"flashmc/internal/fleet"
 	"flashmc/internal/global"
+	"flashmc/internal/metal"
 	"flashmc/internal/obs"
 )
 
@@ -49,11 +51,11 @@ func mkArtifact(reports []engine.Report, covs ...*engine.Coverage) artifact {
 	return a
 }
 
-// Job is one checker to run over a program. Exactly one of SM, Run,
-// or Lanes is set:
+// Job is one checker to run over a program. Exactly one of SM,
+// RunCov, or Lanes is set:
 //
 //   - SM jobs run a state machine per function, cached per function;
-//   - Run jobs are whole-program passes, cached per program;
+//   - RunCov jobs are whole-program passes, cached per program;
 //   - the Lanes job is the §7 inter-procedural pass, decomposed into
 //     per-function summary tasks, a link barrier, and per-handler
 //     traversals cached by the handler's call-graph cone.
@@ -68,17 +70,26 @@ type Job struct {
 	Options string
 
 	SM *engine.SM
-	// Run is a whole-program pass. RunCov, when set, is preferred: it
-	// also returns the pass's dynamic coverage (FlashJobs wires it for
-	// checkers implementing checkers.CoverageProvider).
-	Run    func(p *core.Program) []engine.Report
+	// RunCov is a whole-program pass returning its reports and the
+	// pass's dynamic coverage.
 	RunCov func(p *core.Program) ([]engine.Report, []*engine.Coverage)
 	Lanes  bool
-	// AdhocSrc is the metal source of an ad-hoc SM job. It rides in
-	// fleet descriptors so a remote worker can compile the same
-	// checker; built-in jobs leave it empty and workers resolve the
-	// checker from their registry.
+	// AdhocSrc is the metal source of an ad-hoc SM job (see AdhocJob).
+	// It rides in fleet descriptors so a remote worker can compile the
+	// same checker; built-in jobs leave it empty and workers resolve
+	// the checker from their registry.
 	AdhocSrc string
+}
+
+// AdhocJob builds the SM job for an ad-hoc metal checker compiled
+// from src. An ad-hoc checker has no declared version; its source
+// hash takes that role in the depot key ("adhoc-" and the first 8
+// bytes of the source's sha256, in hex), so editing the source
+// invalidates its cached results.
+func AdhocJob(mp *metal.Program, src, specOpt string) Job {
+	h := sha256.Sum256([]byte(src))
+	return Job{Name: mp.Name, Version: "adhoc-" + hex.EncodeToString(h[:8]),
+		Options: specOpt, SM: mp.SM, AdhocSrc: src}
 }
 
 // Request is one analysis of one loaded program.
@@ -193,61 +204,142 @@ type Analyzer struct {
 	Remote Remote
 }
 
-// runState accumulates one Check call's cache traffic.
+// runState is one Check call's shared task context: the depot, the
+// fleet dispatch context (nil without a fleet) and the request's trace
+// identity, plus the cache traffic every task records.
 type runState struct {
-	d          *depot.Depot
+	d       *depot.Depot
+	rem     *remoteRun
+	traceID string
+
 	mu         sync.Mutex
-	hits       int
-	misses     int
 	decisions  map[string]int
 	reanalyzed map[string]bool
 	globals    int
 }
 
-// lookup resolves key and classifies the cache decision for the task
-// identified by (checker, identity). On a miss the task's marker is
-// rewritten to the new key, so the *next* run's miss (if any) can be
-// attributed; a warm run writes nothing. The decision is NOT counted
-// here: the caller knows only after resolution whether the classified
-// reason stands (local recompute) or the work went to a fleet worker
-// (DecisionRemote), and calls countDecision with the truth.
-func (rs *runState) lookup(checker, identity string, key depot.Key, v any) (bool, string) {
-	ok := rs.d.GetJSON(key, v)
-	reason := DecisionHit
-	if !ok {
-		reason = classifyMiss(rs.d, checker, identity, key)
-		writeMarker(rs.d, checker, identity, key)
-	}
-	rs.mu.Lock()
-	if ok {
-		rs.hits++
-	} else {
-		rs.misses++
-	}
-	rs.mu.Unlock()
-	return ok, reason
-}
-
-// countDecision records a task's final cache decision once its
-// resolution is known: DecisionHit, a classified local-recompute
-// reason, or DecisionRemote when a fleet worker computed the artifact.
-func (rs *runState) countDecision(reason string) {
+// record stamps one task's final cache decision on its trace span,
+// counts it, and on a miss marks what was reanalyzed: the function or
+// handler unit, or a whole-program rerun when unit is empty.
+func (rs *runState) record(t *Task, reason, unit string) {
+	t.Annotate("cache", reason)
 	decisionCounts.With(reason).Inc()
 	rs.mu.Lock()
 	rs.decisions[reason]++
+	if reason != DecisionHit {
+		if unit == "" {
+			rs.globals++
+		} else {
+			rs.reanalyzed[unit] = true
+		}
+	}
 	rs.mu.Unlock()
 }
 
-func (rs *runState) markFn(name string) {
-	rs.mu.Lock()
-	rs.reanalyzed[name] = true
-	rs.mu.Unlock()
+// cachedTask is one cacheable unit of work of any kind: the depot key
+// its artifact lives under, the kind-specific descriptor fields a
+// fleet worker needs, and the local computation.
+type cachedTask[T any] struct {
+	key depot.Key
+	// desc holds Kind plus Fn/FnIndex, Handler or AdhocSrc; the
+	// request-wide fields are filled in at dispatch.
+	desc    fleet.Descriptor
+	compute func() T
+	// deps, when set, lists the artifact's input keys for its
+	// provenance sidecar.
+	deps func() []string
 }
 
-func (rs *runState) markGlobal() {
-	rs.mu.Lock()
-	rs.globals++
-	rs.mu.Unlock()
+// taskIdentity names d's task for miss attribution (the tasklast/v1
+// marker identity) and returns the function or handler it analyzes,
+// empty for a whole-program pass.
+func taskIdentity(d *fleet.Descriptor) (identity, unit string) {
+	switch d.Kind {
+	case fleet.KindSM:
+		return "sm:" + d.Fn, d.Fn
+	case fleet.KindSummary:
+		return "sum:" + d.Fn, d.Fn
+	case fleet.KindLanes:
+		return "lanes:" + d.Handler, d.Handler
+	}
+	return "glob", ""
+}
+
+// resolve produces one task's artifact and returns it with the task's
+// cache decision. A depot hit is decoded; a miss is classified and
+// its marker rewritten (so the next run's miss can be attributed; a
+// warm run writes nothing), then offered to the fleet, and computed
+// and stored locally when the fleet cannot produce it. The decision
+// is recorded only once the resolution is known: a miss a fleet
+// worker computed counts as DecisionRemote, not as its local reason.
+func resolve[T any](rs *runState, t *Task, ct cachedTask[T]) (T, string, error) {
+	var v T
+	if rs.d.GetJSON(ct.key, &v) {
+		rs.record(t, DecisionHit, "")
+		return v, DecisionHit, nil
+	}
+	identity, unit := taskIdentity(&ct.desc)
+	reason := classifyMiss(rs.d, ct.key.Checker, identity, ct.key)
+	writeMarker(rs.d, ct.key.Checker, identity, ct.key)
+	if rs.rem != nil {
+		d := ct.desc
+		var rv T
+		if rs.rem.do(t.ID, ct.key, &d, &rv) {
+			rs.record(t, DecisionRemote, unit)
+			return rv, DecisionRemote, nil
+		}
+	}
+	rs.record(t, reason, unit)
+	v, _, err := ct.computeStore(rs.d, nil, localProducer, rs.traceID)
+	return v, reason, err
+}
+
+// computeStore runs the task's computation and stores the artifact
+// under its key with a provenance sidecar naming producer, the trace
+// and the cost. The leader's local fallback and the fleet worker both
+// end here, so either side writes the same bytes; the stored bytes are
+// returned for the worker's reply.
+func (ct cachedTask[T]) computeStore(d *depot.Depot, tr *obs.Tracer, producer, traceID string) (T, []byte, error) {
+	rsp := tr.StartSpan("run", 0)
+	t0 := time.Now()
+	v := ct.compute()
+	rsp.End()
+	prov := &depot.Provenance{Producer: producer, TraceID: traceID}
+	if ct.deps != nil {
+		prov.Deps = ct.deps()
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return v, nil, fmt.Errorf("sched: marshal artifact: %w", err)
+	}
+	psp := tr.StartSpan("put", 0)
+	err = d.Put(ct.key, raw)
+	psp.End()
+	if err != nil {
+		return v, nil, fmt.Errorf("sched: store artifact: %w", err)
+	}
+	prov.WallUS = time.Since(t0).Microseconds()
+	_ = d.PutProv(ct.key, prov)
+	return v, raw, nil
+}
+
+// slot is one report-producing task's output. Each task writes only
+// its own slot, so no locking.
+type slot struct {
+	ref     ArtifactRef
+	reports []engine.Report
+}
+
+// report resolves one report-producing task into s and replays the
+// artifact's coverage.
+func (a *Analyzer) report(rs *runState, t *Task, s *slot, ct cachedTask[artifact]) error {
+	art, reason, err := resolve(rs, t, ct)
+	if err != nil {
+		return err
+	}
+	*s = slot{ref: ArtifactRef{Task: t.ID, Key: ct.key, Decision: reason}, reports: art.Reports}
+	a.recordCoverage(ct.key.Checker, art.Coverage)
+	return nil
 }
 
 // Check analyzes req.Prog with req.Jobs, reusing every artifact in
@@ -266,7 +358,18 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		d, _ = depot.Open("")
 	}
 	p := req.Prog
-	rs := &runState{d: d, reanalyzed: map[string]bool{}, decisions: map[string]int{}}
+	rs := &runState{d: d, traceID: req.TraceID, reanalyzed: map[string]bool{}, decisions: map[string]int{}}
+
+	// Remote dispatch context: with a fleet configured and the source
+	// bundle published under req.SrcHash, cache-missed tasks are tried
+	// on the fleet first. Workers write the same artifact to the same
+	// depot key local execution would, and every failure falls back to
+	// the local computation, so the report stream is byte-identical
+	// with or without workers.
+	if a.Remote != nil && req.SrcHash != "" {
+		rs.rem = &remoteRun{r: a.Remote, srcHash: req.SrcHash, specOpt: SpecHash(req.Spec),
+			traceID: req.TraceID, tr: tracer}
+	}
 
 	fps, progFP := req.Fingerprints, req.ProgramFP
 	if len(fps) != len(p.Fns) || progFP == "" {
@@ -280,271 +383,103 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}
 	}
 
-	needLanes := false
-	for _, j := range req.Jobs {
-		if j.Lanes {
-			needLanes = true
-		}
-	}
-
-	// Remote dispatch context: with a fleet configured and the source
-	// bundle published under req.SrcHash, cache-missed tasks are tried
-	// on the fleet first. Workers write the same artifact to the same
-	// depot key local execution would, and every failure falls back to
-	// the local computation, so the report stream is byte-identical
-	// with or without workers.
-	var rem *remoteRun
-	if a.Remote != nil && req.SrcHash != "" {
-		rem = &remoteRun{r: a.Remote, srcHash: req.SrcHash, specOpt: SpecHash(req.Spec),
-			traceID: req.TraceID, tr: tracer}
-	}
-
 	var tasks []*Task
 
-	// Per-function summary tasks (the lane pass's local half). The
-	// summary blob is the depot's per-function CFG artifact; it is
-	// also reused as the link input.
-	summaries := make([]*global.Summary, len(p.Fns))
-	var sumIDs []string
-	lanesVersion, lanesOptions := "", ""
-	if needLanes {
-		for _, j := range req.Jobs {
-			if j.Lanes {
-				lanesVersion, lanesOptions = j.Version, j.Options
-				break
-			}
-		}
-		for i := range p.Fns {
-			i := i
-			id := fmt.Sprintf("sum:%d", i)
-			sumIDs = append(sumIDs, id)
-			key := depot.Key{Kind: "summary", Source: fps[i], Checker: "lanes",
-				Version: lanesVersion, Options: lanesOptions}
-			t := &Task{ID: id}
-			t.Run = func() error {
-				var s global.Summary
-				ok, reason := rs.lookup("lanes", "sum:"+p.Fns[i].Name, key, &s)
-				if ok {
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					summaries[i] = &s
-					return nil
-				}
-				rs.markFn(p.Fns[i].Name)
-				if rem != nil {
-					desc := rem.desc(fleet.KindSummary, key, id)
-					desc.Checker, desc.CheckerVersion = "lanes", lanesVersion
-					desc.FnIndex, desc.Fn = i, p.Fns[i].Name
-					if s := rem.summaryTask(desc); s != nil {
-						t.Annotate("cache", DecisionRemote)
-						rs.countDecision(DecisionRemote)
-						summaries[i] = s
-						return nil
-					}
-				}
-				t.Annotate("cache", reason)
-				rs.countDecision(reason)
-				t0 := time.Now()
-				summaries[i] = global.FromCFG(p.Graphs[i], checkers.LaneAnnotator)
-				if err := d.PutJSON(key, summaries[i]); err != nil {
-					return err
-				}
-				_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-					TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-				return nil
-			}
-			tasks = append(tasks, t)
-		}
-	}
-
-	// The link barrier joins every summary into the whole-protocol
-	// call graph; per-handler lane tasks wait on it.
+	// The lane pass's local half: one summary task per function (the
+	// depot's per-function CFG artifact, also the link input), then the
+	// link barrier joining every summary into the whole-protocol call
+	// graph that per-handler lane tasks wait on.
 	var (
 		linked   *global.Program
 		linkErrs []error
 	)
-	if needLanes {
+	if li := slices.IndexFunc(req.Jobs, func(j Job) bool { return j.Lanes }); li >= 0 {
+		job := req.Jobs[li]
+		summaries := make([]*global.Summary, len(p.Fns))
+		sumIDs := make([]string, len(p.Fns))
+		for i, fn := range p.Fns {
+			key := depot.Key{Kind: "summary", Source: fps[i], Checker: "lanes",
+				Version: job.Version, Options: job.Options}
+			t := &Task{ID: fmt.Sprintf("sum:%d", i)}
+			t.Run = func() error {
+				s, _, err := resolve(rs, t, cachedTask[*global.Summary]{key: key,
+					desc: fleet.Descriptor{Kind: fleet.KindSummary, FnIndex: i, Fn: fn.Name},
+					compute: func() *global.Summary {
+						return global.FromCFG(p.Graphs[i], checkers.LaneAnnotator)
+					}})
+				summaries[i] = s
+				return err
+			}
+			sumIDs[i] = t.ID
+			tasks = append(tasks, t)
+		}
 		tasks = append(tasks, &Task{ID: "link", Deps: sumIDs, Run: func() error {
 			linked, linkErrs = global.Link(summaries)
 			return nil
 		}})
 	}
 
-	// Per-job result slots, assembled in job order after the run. The
-	// ref slots record which artifact each slot's reports came from
-	// (each task writes only its own index, so no locking).
-	smResults := make([][][]engine.Report, len(req.Jobs))
-	globalResults := make([][]engine.Report, len(req.Jobs))
-	laneResults := make([]*laneSlot, len(req.Jobs))
-	smRefs := make([][]ArtifactRef, len(req.Jobs))
-	globalRefs := make([]ArtifactRef, len(req.Jobs))
-
+	// One slot per report-producing task, assembled in job order after
+	// the run: per function for SM jobs, per handler for the lane job,
+	// one for a whole-program pass.
+	slots := make([][]slot, len(req.Jobs))
 	for ji, job := range req.Jobs {
-		ji, job := ji, job
+		key := depot.Key{Kind: reportsKind, Checker: job.Name, Version: job.Version, Options: job.Options}
 		switch {
 		case job.SM != nil:
-			smResults[ji] = make([][]engine.Report, len(p.Fns))
-			smRefs[ji] = make([]ArtifactRef, len(p.Fns))
-			for i := range p.Fns {
-				i := i
-				key := depot.Key{Kind: reportsKind, Source: fps[i], Checker: job.Name,
-					Version: job.Version, Options: job.Options}
-				id := fmt.Sprintf("sm:%d:%d", ji, i)
-				t := &Task{ID: id}
+			slots[ji] = make([]slot, len(p.Fns))
+			for i, fn := range p.Fns {
+				key := key
+				key.Source = fps[i]
+				t := &Task{ID: fmt.Sprintf("sm:%d:%d", ji, i)}
 				t.Run = func() error {
-					var cached artifact
-					ok, reason := rs.lookup(job.Name, "sm:"+p.Fns[i].Name, key, &cached)
-					if ok {
-						t.Annotate("cache", reason)
-						rs.countDecision(reason)
-						smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
-						smResults[ji][i] = cached.Reports
-						a.recordCoverage(job.Name, cached.Coverage)
-						return nil
-					}
-					rs.markFn(p.Fns[i].Name)
-					if rem != nil {
-						desc := rem.desc(fleet.KindSM, key, id)
-						desc.Checker, desc.CheckerVersion, desc.AdhocSrc = job.Name, job.Version, job.AdhocSrc
-						desc.FnIndex, desc.Fn = i, p.Fns[i].Name
-						if art := rem.artifactTask(desc); art != nil {
-							t.Annotate("cache", DecisionRemote)
-							rs.countDecision(DecisionRemote)
-							smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: DecisionRemote}
-							smResults[ji][i] = art.Reports
-							a.recordCoverage(job.Name, art.Coverage)
-							return nil
-						}
-					}
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
-					t0 := time.Now()
-					reports, cov := engine.RunCov(p.Graphs[i], job.SM)
-					smResults[ji][i] = reports
-					art := mkArtifact(reports, cov)
-					a.recordCoverage(job.Name, art.Coverage)
-					if err := d.PutJSON(key, art); err != nil {
-						return err
-					}
-					_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-						TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-					return nil
+					return a.report(rs, t, &slots[ji][i], cachedTask[artifact]{key: key,
+						desc: fleet.Descriptor{Kind: fleet.KindSM, FnIndex: i, Fn: fn.Name, AdhocSrc: job.AdhocSrc},
+						compute: func() artifact {
+							return mkArtifact(engine.RunCov(p.Graphs[i], job.SM))
+						}})
 				}
 				tasks = append(tasks, t)
 			}
 
 		case job.Lanes:
-			slot := &laneSlot{reports: map[string][]engine.Report{}}
+			var handlers []string
 			if req.Spec != nil {
-				slot.handlers = append(append([]string{}, req.Spec.Hardware...), req.Spec.Software...)
+				handlers = append(append(handlers, req.Spec.Hardware...), req.Spec.Software...)
 			}
-			laneResults[ji] = slot
-			for _, h := range slot.handlers {
-				h := h
-				id := fmt.Sprintf("lanes:%d:%s", ji, h)
-				t := &Task{ID: id, Deps: []string{"link"}}
+			slots[ji] = make([]slot, len(handlers))
+			for hi, h := range handlers {
+				t := &Task{ID: fmt.Sprintf("lanes:%d:%s", ji, h), Deps: []string{"link"}}
 				t.Run = func() error {
 					reach := linked.Reachable([]string{h})
-					key := depot.Key{Kind: reportsKind,
-						Source:  reachFingerprint(h, reach, fpByFn),
-						Checker: job.Name, Version: job.Version, Options: job.Options}
-					var cached artifact
-					ok, reason := rs.lookup(job.Name, "lanes:"+h, key, &cached)
-					if ok {
-						t.Annotate("cache", reason)
-						rs.countDecision(reason)
-						slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
-						slot.set(h, cached.Reports)
-						a.recordCoverage(job.Name, cached.Coverage)
-						return nil
-					}
-					rs.markFn(h)
-					if rem != nil {
-						desc := rem.desc(fleet.KindLanes, key, id)
-						desc.Checker, desc.CheckerVersion, desc.Handler = job.Name, job.Version, h
-						if art := rem.artifactTask(desc); art != nil {
-							t.Annotate("cache", DecisionRemote)
-							rs.countDecision(DecisionRemote)
-							slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: DecisionRemote})
-							slot.set(h, art.Reports)
-							a.recordCoverage(job.Name, art.Coverage)
-							return nil
-						}
-					}
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
-					one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
-					t0 := time.Now()
-					got, cov := checkers.CheckLanesCov(linked, one)
-					slot.set(h, got)
-					art := mkArtifact(got, cov)
-					a.recordCoverage(job.Name, art.Coverage)
-					if err := d.PutJSON(key, art); err != nil {
-						return err
-					}
-					_ = d.PutProv(key, &depot.Provenance{
-						Deps:     summaryDepKeys(reach, fpByFn, job.Version, job.Options),
-						Producer: localProducer, TraceID: req.TraceID,
-						WallUS: time.Since(t0).Microseconds()})
-					return nil
+					key := key
+					key.Source = reachFingerprint(h, reach, fpByFn)
+					return a.report(rs, t, &slots[ji][hi], cachedTask[artifact]{key: key,
+						desc:    fleet.Descriptor{Kind: fleet.KindLanes, Handler: h},
+						compute: func() artifact { return laneArtifact(linked, h, req.Spec) },
+						deps: func() []string {
+							return summaryDepKeys(reach, fpByFn, job.Version, job.Options)
+						}})
 				}
 				tasks = append(tasks, t)
 			}
 
-		case job.Run != nil || job.RunCov != nil:
-			key := depot.Key{Kind: reportsKind, Source: progFP, Checker: job.Name,
-				Version: job.Version, Options: job.Options}
-			id := fmt.Sprintf("glob:%d", ji)
-			t := &Task{ID: id}
+		case job.RunCov != nil:
+			slots[ji] = make([]slot, 1)
+			key.Source = progFP
+			t := &Task{ID: fmt.Sprintf("glob:%d", ji)}
 			t.Run = func() error {
-				var cached artifact
-				ok, reason := rs.lookup(job.Name, "glob", key, &cached)
-				if ok {
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
-					globalResults[ji] = cached.Reports
-					a.recordCoverage(job.Name, cached.Coverage)
-					return nil
-				}
-				rs.markGlobal()
-				if rem != nil {
-					desc := rem.desc(fleet.KindGlobal, key, id)
-					desc.Checker, desc.CheckerVersion = job.Name, job.Version
-					if art := rem.artifactTask(desc); art != nil {
-						t.Annotate("cache", DecisionRemote)
-						rs.countDecision(DecisionRemote)
-						globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: DecisionRemote}
-						globalResults[ji] = art.Reports
-						a.recordCoverage(job.Name, art.Coverage)
-						return nil
-					}
-				}
-				t.Annotate("cache", reason)
-				rs.countDecision(reason)
-				globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
-				t0 := time.Now()
-				var covs []*engine.Coverage
-				if job.RunCov != nil {
-					globalResults[ji], covs = job.RunCov(p)
-				} else {
-					globalResults[ji] = job.Run(p)
-				}
-				art := mkArtifact(globalResults[ji], covs...)
-				a.recordCoverage(job.Name, art.Coverage)
-				if err := d.PutJSON(key, art); err != nil {
-					return err
-				}
-				_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-					TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-				return nil
+				return a.report(rs, t, &slots[ji][0], cachedTask[artifact]{key: key,
+					desc: fleet.Descriptor{Kind: fleet.KindGlobal},
+					compute: func() artifact {
+						reports, covs := job.RunCov(p)
+						return mkArtifact(reports, covs...)
+					}})
 			}
 			tasks = append(tasks, t)
 
 		default:
-			return nil, fmt.Errorf("sched: job %s: no SM, Run, RunCov, or Lanes", job.Name)
+			return nil, fmt.Errorf("sched: job %s: no SM, RunCov, or Lanes", job.Name)
 		}
 	}
 
@@ -557,24 +492,15 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 	// the same order direct execution produces, so warm and cold runs
 	// render identically.
 	res := &Result{}
-	addFrom := func(ref ArtifactRef, reps []engine.Report) {
-		res.Artifacts = append(res.Artifacts, ref)
-		for range reps {
-			res.RefIdx = append(res.RefIdx, len(res.Artifacts)-1)
-		}
-		res.Reports = append(res.Reports, reps...)
-	}
 	for ji, job := range req.Jobs {
-		switch {
-		case job.SM != nil:
-			for i, reps := range smResults[ji] {
-				addFrom(smRefs[ji][i], reps)
+		for _, s := range slots[ji] {
+			res.Artifacts = append(res.Artifacts, s.ref)
+			for range s.reports {
+				res.RefIdx = append(res.RefIdx, len(res.Artifacts)-1)
 			}
-		case job.Lanes:
-			slot := laneResults[ji]
-			for _, h := range slot.handlers {
-				addFrom(slot.refs[h], slot.reports[h])
-			}
+			res.Reports = append(res.Reports, s.reports...)
+		}
+		if job.Lanes {
 			for _, e := range linkErrs {
 				res.Reports = append(res.Reports, engine.Report{SM: job.Name, Rule: "link", Msg: e.Error(),
 					Trace: engine.Witness(token.Pos{}, "link", e.Error())})
@@ -584,11 +510,13 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 			// cached), so its coverage is recorded here identically on
 			// warm and cold paths.
 			a.Coverage.Record(job.Name, checkers.LinkCoverage(len(linkErrs)))
-		case job.Run != nil || job.RunCov != nil:
-			addFrom(globalRefs[ji], globalResults[ji])
 		}
 	}
 
+	lookups := 0
+	for _, n := range rs.decisions {
+		lookups += n
+	}
 	res.Stats = Stats{
 		Functions:     len(p.Fns),
 		Tasks:         stats.Tasks,
@@ -596,8 +524,8 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		TaskTime:      stats.TaskTime,
 		Elapsed:       time.Since(start),
 		QueueWait:     stats.QueueWait,
-		CacheHits:     rs.hits,
-		CacheMisses:   rs.misses,
+		CacheHits:     rs.decisions[DecisionHit],
+		CacheMisses:   lookups - rs.decisions[DecisionHit],
 		GlobalReruns:  rs.globals,
 		Decisions:     rs.decisions,
 		TaskDurations: stats.Durations,
@@ -620,36 +548,18 @@ func (a *Analyzer) recordCoverage(checker string, covs []*engine.Coverage) {
 	}
 }
 
-// laneSlot collects one lane job's per-handler reports and artifact
-// refs; tasks write concurrently.
-type laneSlot struct {
-	l        sync.Mutex
-	handlers []string
-	reports  map[string][]engine.Report
-	refs     map[string]ArtifactRef
-}
-
-func (s *laneSlot) set(h string, r []engine.Report) {
-	s.l.Lock()
-	s.reports[h] = r
-	s.l.Unlock()
-}
-
-func (s *laneSlot) setRef(h string, ref ArtifactRef) {
-	s.l.Lock()
-	if s.refs == nil {
-		s.refs = map[string]ArtifactRef{}
+// laneArtifact runs the lane traversal for one handler of the linked
+// program under spec's allowance table (nil spec → empty). The leader
+// and the fleet worker compute lane artifacts only through here.
+func laneArtifact(linked *global.Program, handler string, spec *flash.Spec) artifact {
+	var allow map[string]flash.LaneVector
+	if spec != nil {
+		allow = spec.Allowance
 	}
-	s.refs[h] = ref
-	s.l.Unlock()
-}
-
-// specAllowance returns the spec's allowance table (nil spec → empty).
-func specAllowance(spec *flash.Spec) map[string]flash.LaneVector {
-	if spec == nil || spec.Allowance == nil {
-		return map[string]flash.LaneVector{}
+	if allow == nil {
+		allow = map[string]flash.LaneVector{}
 	}
-	return spec.Allowance
+	return mkArtifact(checkers.CheckLanesCov(linked, &flash.Spec{Hardware: []string{handler}, Allowance: allow}))
 }
 
 // FlashJobs builds the job list for the built-in FLASH suite under a
@@ -669,12 +579,9 @@ func FlashJobs(spec *flash.Spec) []Job {
 			job.SM = sm
 			job.Options = hashStrings(specOpt, fmt.Sprintf("correlate=%v", sm.CorrelateBranches))
 		} else {
-			chk := chk
-			job.Run = func(p *core.Program) []engine.Report { return chk.Check(p, spec) }
-			if prov, ok := chk.(checkers.CoverageProvider); ok {
-				job.RunCov = func(p *core.Program) ([]engine.Report, []*engine.Coverage) {
-					return prov.CheckCov(p, spec)
-				}
+			prov := chk.(checkers.CoverageProvider)
+			job.RunCov = func(p *core.Program) ([]engine.Report, []*engine.Coverage) {
+				return prov.CheckCov(p, spec)
 			}
 		}
 		jobs = append(jobs, job)

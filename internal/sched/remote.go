@@ -15,12 +15,9 @@ package sched
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"flashmc/internal/cc/cpp"
 	"flashmc/internal/checkers"
@@ -133,6 +130,7 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		return nil, reject("bundle has %d parse errors (dispatcher checks clean programs only)", len(p.ParseErrors))
 	}
 
+	ct := cachedTask[any]{key: desc.Output}
 	switch desc.Kind {
 	case fleet.KindSummary:
 		if err := e.checkFn(cp, desc); err != nil {
@@ -141,11 +139,7 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		if err := e.checkLanesIdentity(desc, desc.SpecOpt); err != nil {
 			return nil, err
 		}
-		rsp := tr.StartSpan("run", 0)
-		t0 := time.Now()
-		sum := global.FromCFG(p.Graphs[desc.FnIndex], checkers.LaneAnnotator)
-		rsp.End()
-		return e.put(tr, desc, sum, t0, nil)
+		ct.compute = func() any { return global.FromCFG(p.Graphs[desc.FnIndex], checkers.LaneAnnotator) }
 
 	case fleet.KindSM:
 		if err := e.checkFn(cp, desc); err != nil {
@@ -158,11 +152,7 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		if desc.Output.Options != opts {
 			return nil, reject("options %.12s, worker computes %.12s", desc.Output.Options, opts)
 		}
-		rsp := tr.StartSpan("run", 0)
-		t0 := time.Now()
-		reports, cov := engine.RunCov(p.Graphs[desc.FnIndex], sm)
-		rsp.End()
-		return e.put(tr, desc, mkArtifact(reports, cov), t0, nil)
+		ct.compute = func() any { return mkArtifact(engine.RunCov(p.Graphs[desc.FnIndex], sm)) }
 
 	case fleet.KindGlobal:
 		if cp.ProgramFP != desc.Output.Source {
@@ -172,7 +162,8 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		if chk == nil {
 			return nil, reject("unknown checker %q", desc.Checker)
 		}
-		if _, isSM := chk.(checkers.SMProvider); isSM || chk.Name() == "lanes" {
+		prov, ok := chk.(checkers.CoverageProvider)
+		if _, isSM := chk.(checkers.SMProvider); isSM || !ok || chk.Name() == "lanes" {
 			return nil, reject("checker %q is not a whole-program pass", desc.Checker)
 		}
 		if chk.Version() != desc.CheckerVersion {
@@ -181,19 +172,10 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		if desc.Output.Options != desc.SpecOpt {
 			return nil, reject("whole-program options %.12s, want spec hash %.12s", desc.Output.Options, desc.SpecOpt)
 		}
-		var (
-			reports []engine.Report
-			covs    []*engine.Coverage
-		)
-		rsp := tr.StartSpan("run", 0)
-		t0 := time.Now()
-		if prov, ok := chk.(checkers.CoverageProvider); ok {
-			reports, covs = prov.CheckCov(p, b.Spec)
-		} else {
-			reports = chk.Check(p, b.Spec)
+		ct.compute = func() any {
+			reports, covs := prov.CheckCov(p, b.Spec)
+			return mkArtifact(reports, covs...)
 		}
-		rsp.End()
-		return e.put(tr, desc, mkArtifact(reports, covs...), t0, nil)
 
 	case fleet.KindLanes:
 		if err := e.checkLanesIdentity(desc, desc.SpecOpt); err != nil {
@@ -210,15 +192,20 @@ func (e *Executor) Execute(ctx context.Context, desc *fleet.Descriptor, tr *obs.
 		if got := reachFingerprint(desc.Handler, reach, fpByFn); got != desc.Output.Source {
 			return nil, reject("handler %s cone fingerprint %.12s, descriptor wants %.12s", desc.Handler, got, desc.Output.Source)
 		}
-		one := &flash.Spec{Hardware: []string{desc.Handler}, Allowance: specAllowance(b.Spec)}
-		rsp := tr.StartSpan("run", 0)
-		t0 := time.Now()
-		got, cov := checkers.CheckLanesCov(linked, one)
-		rsp.End()
-		return e.put(tr, desc, mkArtifact(got, cov), t0,
-			summaryDepKeys(reach, fpByFn, desc.CheckerVersion, desc.Output.Options))
+		ct.compute = func() any { return laneArtifact(linked, desc.Handler, b.Spec) }
+		ct.deps = func() []string {
+			return summaryDepKeys(reach, fpByFn, desc.CheckerVersion, desc.Output.Options)
+		}
+
+	default:
+		return nil, reject("unknown task kind %q", desc.Kind)
 	}
-	return nil, reject("unknown task kind %q", desc.Kind)
+	producer := e.Producer
+	if producer == "" {
+		producer = localProducer
+	}
+	_, raw, err := ct.computeStore(e.Depot, tr, producer, desc.TraceID)
+	return raw, err
 }
 
 // checkFn validates a per-function descriptor against the local
@@ -264,15 +251,14 @@ func (e *Executor) buildSM(p *core.Program, desc *fleet.Descriptor, spec *flash.
 		if err != nil {
 			return nil, "", reject("ad-hoc checker: %v", err)
 		}
-		srcHash := sha256.Sum256([]byte(desc.AdhocSrc))
-		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
-		if version != desc.CheckerVersion {
-			return nil, "", reject("ad-hoc version %s, descriptor pinned %s", version, desc.CheckerVersion)
+		job := AdhocJob(mp, desc.AdhocSrc, desc.SpecOpt)
+		if job.Version != desc.CheckerVersion {
+			return nil, "", reject("ad-hoc version %s, descriptor pinned %s", job.Version, desc.CheckerVersion)
 		}
-		if mp.Name != desc.Checker {
-			return nil, "", reject("ad-hoc checker compiles to %q, descriptor names %q", mp.Name, desc.Checker)
+		if job.Name != desc.Checker {
+			return nil, "", reject("ad-hoc checker compiles to %q, descriptor names %q", job.Name, desc.Checker)
 		}
-		return mp.SM, desc.SpecOpt, nil
+		return job.SM, job.Options, nil
 	}
 	chk := registryChecker(desc.Checker)
 	if chk == nil {
@@ -314,31 +300,6 @@ func (e *Executor) link(srcHash string, p *core.Program) *global.Program {
 	return lp
 }
 
-// put stores v under the descriptor's output key and returns the
-// exact bytes stored, so the dispatcher's copy and the depot's agree.
-// A provenance sidecar naming this worker, the request's trace and
-// the compute cost (wall time since t0) is written beside it.
-func (e *Executor) put(tr *obs.Tracer, desc *fleet.Descriptor, v any, t0 time.Time, deps []string) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, reject("marshal artifact: %v", err)
-	}
-	psp := tr.StartSpan("put", 0)
-	err = e.Depot.Put(desc.Output, raw)
-	psp.End()
-	if err != nil {
-		return nil, fmt.Errorf("sched: store artifact: %w", err)
-	}
-	producer := e.Producer
-	if producer == "" {
-		producer = localProducer
-	}
-	_ = e.Depot.PutProv(desc.Output, &depot.Provenance{Deps: deps,
-		Producer: producer, TraceID: desc.TraceID,
-		WallUS: time.Since(t0).Microseconds()})
-	return raw, nil
-}
-
 // remoteRun is one Check call's dispatch context: the source address,
 // spec hash, trace identity, and tracer every descriptor of the
 // request shares.
@@ -350,44 +311,22 @@ type remoteRun struct {
 	tr      *obs.Tracer
 }
 
-// desc starts a descriptor for one task of this request; parent names
-// the scheduler task it executes, correlating the worker's spans with
-// the leader's dispatch spans for the same task id.
-func (rr *remoteRun) desc(kind string, out depot.Key, parent string) *fleet.Descriptor {
-	return &fleet.Descriptor{
-		Format: fleet.DescFormat, Kind: kind,
-		SrcHash: rr.srcHash, SpecOpt: rr.specOpt, Output: out,
-		TraceID: rr.traceID, ParentSpan: parent,
-	}
-}
-
-// artifactTask dispatches one report-producing task; nil means the
-// fleet could not produce the artifact and the caller runs it locally
-// (counted as a fallback).
-func (rr *remoteRun) artifactTask(d *fleet.Descriptor) *artifact {
+// do dispatches one task to the fleet: it completes d with the
+// request-wide fields, the output key and the checker identity, then
+// decodes the worker's artifact into v. false means the fleet could
+// not produce the artifact and the caller computes it locally
+// (counted as a fallback). parent names the scheduler task, tying the
+// worker's spans to the leader's dispatch spans for the same task id.
+func (rr *remoteRun) do(parent string, out depot.Key, d *fleet.Descriptor, v any) bool {
+	d.Format, d.SrcHash, d.SpecOpt = fleet.DescFormat, rr.srcHash, rr.specOpt
+	d.Output, d.Checker, d.CheckerVersion = out, out.Checker, out.Version
+	d.TraceID, d.ParentSpan = rr.traceID, parent
 	raw, err := rr.r.Do(context.Background(), d, rr.tr)
-	if err == nil {
-		var art artifact
-		if json.Unmarshal(raw, &art) == nil {
-			return &art
-		}
+	if err == nil && json.Unmarshal(raw, v) == nil {
+		return true
 	}
 	fleet.CountFallback(d.ParentSpan, d.TraceID)
-	return nil
-}
-
-// summaryTask dispatches one per-function summary task; nil means
-// run it locally.
-func (rr *remoteRun) summaryTask(d *fleet.Descriptor) *global.Summary {
-	raw, err := rr.r.Do(context.Background(), d, rr.tr)
-	if err == nil {
-		var s global.Summary
-		if json.Unmarshal(raw, &s) == nil {
-			return &s
-		}
-	}
-	fleet.CountFallback(d.ParentSpan, d.TraceID)
-	return nil
+	return false
 }
 
 // registryChecker finds a built-in checker by name.

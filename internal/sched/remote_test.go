@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"flashmc/internal/cc/cpp"
+	"flashmc/internal/checkers"
 	"flashmc/internal/core"
 	"flashmc/internal/depot"
 	"flashmc/internal/flash"
 	"flashmc/internal/flashgen"
 	"flashmc/internal/fleet"
+	"flashmc/internal/global"
 	"flashmc/internal/obs"
 )
 
@@ -316,5 +320,91 @@ func TestExecutorRejectsSkew(t *testing.T) {
 	d.Output = depot.Key{Kind: "reports/v3", Source: "x", Checker: "lanes", Version: lanesVersion, Options: "bogus-spec"}
 	if _, err := ex.Execute(context.Background(), d, nil); !errors.Is(err, fleet.ErrReject) {
 		t.Fatalf("spec hash mismatch: err = %v, want ErrReject", err)
+	}
+}
+
+// TestEveryArtifactHasProvenance: every artifact a cold Check writes —
+// reports of every task kind and the lane pass's function summaries —
+// carries a prov/v1 sidecar naming who computed it, whether the task
+// ran locally or on a fleet worker. Lane artifacts record their
+// handler's cone of summaries as dependencies; nothing else has any.
+func TestEveryArtifactHasProvenance(t *testing.T) {
+	files, roots, prog := loadRemoteProto(t)
+	spec := ConventionSpec(prog)
+	jobs := FlashJobs(spec)
+	var lanes Job
+	for _, j := range jobs {
+		if j.Lanes {
+			lanes = j
+		}
+	}
+	fps := Fingerprints(prog)
+	fpByFn := map[string]string{}
+	for i, fn := range prog.Fns {
+		if _, ok := fpByFn[fn.Name]; !ok {
+			fpByFn[fn.Name] = fps[i]
+		}
+	}
+	linked, _ := global.Link(checkers.Summarize(prog))
+
+	for _, remote := range []bool{false, true} {
+		d, err := depot.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &Analyzer{Depot: d, Workers: 4}
+		req := Request{Prog: prog, Spec: spec, Jobs: jobs}
+		producer := localProducer
+		if remote {
+			req.SrcHash = SourceHash(files, roots)
+			if err := PutBundle(d, req.SrcHash, files, roots, spec); err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutor(d)
+			ex.Producer = "worker-under-test"
+			a.Remote, producer = execRemote{ex}, ex.Producer
+		}
+		res, err := a.Check(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote && res.Stats.Decisions[DecisionRemote] != res.Stats.CacheMisses {
+			t.Fatalf("remote run: %d of %d misses ran remotely", res.Stats.Decisions[DecisionRemote], res.Stats.CacheMisses)
+		}
+
+		check := func(key depot.Key, wantDeps []string) {
+			t.Helper()
+			pv, ok := d.GetProv(key)
+			if !ok {
+				t.Fatalf("remote=%v: artifact %s has no provenance", remote, key.ID())
+			}
+			if pv.Producer != producer {
+				t.Errorf("remote=%v: artifact %s produced by %q, want %q", remote, key.ID(), pv.Producer, producer)
+			}
+			if !reflect.DeepEqual(pv.Deps, wantDeps) {
+				t.Errorf("remote=%v: artifact %s deps %v, want %v", remote, key.ID(), pv.Deps, wantDeps)
+			}
+		}
+		kinds := map[string]int{}
+		for _, ref := range res.Artifacts {
+			kind, rest, _ := strings.Cut(ref.Task, ":")
+			kinds[kind]++
+			var wantDeps []string
+			if kind == "lanes" {
+				_, h, _ := strings.Cut(rest, ":")
+				wantDeps = summaryDepKeys(linked.Reachable([]string{h}), fpByFn, lanes.Version, lanes.Options)
+			}
+			check(ref.Key, wantDeps)
+		}
+		for _, fp := range fps {
+			kinds["summary"]++
+			check(depot.Key{Kind: "summary", Source: fp, Checker: "lanes",
+				Version: lanes.Version, Options: lanes.Options}, nil)
+		}
+		for _, kind := range []string{"sm", "lanes", "glob", "summary"} {
+			if kinds[kind] == 0 {
+				t.Errorf("remote=%v: no %s artifacts checked", remote, kind)
+			}
+		}
 	}
 }
